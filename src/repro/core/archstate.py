@@ -65,9 +65,13 @@ class ArchDigest:
         """Fold in the final register file and memory image; return hex.
 
         *memory* is a :class:`~repro.workloads.mem.MemoryImage`; only
-        materialized (written) words participate, in address order.
-        ``regs=None`` means the executor exposes no register file (trace
-        replay): the stream and memory still pin architectural identity.
+        materialized (written) words participate, in address order, as
+        streamed by :meth:`~repro.workloads.mem.MemoryImage.rendered`.
+        A snapshotted image reuses its pristine rendering for the blocks
+        the run never wrote, and renders every written word from the
+        live image.  ``regs=None`` means the executor exposes no register
+        file (trace replay): the stream and memory still pin
+        architectural identity.
         """
         self._flush()
         h = self._hash
@@ -75,6 +79,6 @@ class ArchDigest:
         for name in sorted(regs or ()):
             h.update(f"{name}={regs[name]!r}\n".encode())
         h.update(b"=mem=\n")
-        for addr, value in memory.iter_words():
-            h.update(f"{addr}={value!r}\n".encode())
+        for chunk in memory.rendered():
+            h.update(chunk)
         return h.hexdigest()

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import stats as scipy_stats
+from itertools import groupby
 
 from repro.experiments.report import ExperimentResult
 
@@ -48,13 +47,37 @@ def _paired(result: ExperimentResult) -> tuple[list[float], list[float]]:
     return measured, paper
 
 
+def _ranks(values: list[float]) -> list[float]:
+    """1-based ranks; tied values share the average of their ranks."""
+    ranks = [0.0] * len(values)
+    done = 0
+    order = sorted(range(len(values)), key=values.__getitem__)
+    for _, group in groupby(order, key=values.__getitem__):
+        tied = list(group)
+        for i in tied:
+            ranks[i] = done + (len(tied) + 1) / 2
+        done += len(tied)
+    return ranks
+
+
+def spearman(xs: list[float], ys: list[float]) -> float:
+    """Spearman's rho: Pearson correlation of the average ranks (NaN when
+    either series is constant)."""
+    rx, ry = _ranks(xs), _ranks(ys)
+    mean = (len(xs) + 1) / 2  # average ranks keep the mean rank
+    cov = sum((a - mean) * (b - mean) for a, b in zip(rx, ry))
+    norm = math.sqrt(
+        sum((a - mean) ** 2 for a in rx) * sum((b - mean) ** 2 for b in ry)
+    )
+    return cov / norm if norm else math.nan
+
+
 def rank_agreement(result: ExperimentResult) -> float | None:
     """Spearman rank correlation of measured vs paper (None if < 3 points)."""
     measured, paper = _paired(result)
     if len(measured) < 3:
         return None
-    rho, _ = scipy_stats.spearmanr(measured, paper)
-    return float(rho)
+    return spearman(measured, paper)
 
 
 def log_ratio_spread(result: ExperimentResult) -> float | None:

@@ -44,7 +44,9 @@ def build_workload(name: str, **overrides: object) -> "Workload":
 
     The built workload is stamped with its compiled-trace identity
     (:func:`repro.workloads.tracecache.annotate`) so ``simulate()`` can
-    replay a cached correct-path stream instead of re-executing it.
+    replay a cached correct-path stream instead of re-executing it, and
+    its memory image is snapshotted so the run's arch digest re-renders
+    only the memory the run writes.
     """
     from repro.workloads.tracecache import annotate
 

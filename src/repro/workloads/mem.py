@@ -9,11 +9,67 @@ that the cache hierarchy maps to a 64-byte line.
 The same image is read by Load-Agent-injected loads from custom components
 (see :mod:`repro.pfm.load_agent`), which is how a component's run-ahead
 loads observe the program's data structures exactly as the paper describes.
+
+The architectural digest (:mod:`repro.core.archstate`) folds the final
+image in as ``"{addr}={value!r}\\n"`` lines in address order.  Rendering
+every materialized word on every run would dominate a short run's
+out-of-loop cost, yet a run writes only a small part of its image.  So a
+built image can be *snapshotted*: :meth:`MemoryImage.snapshot` attaches
+an :class:`ImageRendering` of the pristine contents (shared by every
+build of the same workload, see :func:`repro.workloads.tracecache.annotate`)
+and from then on records each stored address in a write set.
+:meth:`MemoryImage.rendered` splices the two: blocks holding no written
+address come from the pristine rendering, the rest are re-rendered from
+the live words.  Before the snapshot nothing is recorded, so building an
+image pays no write-set cost.
 """
 
 from __future__ import annotations
 
+import re
+import zlib
+from array import array
+from bisect import bisect_right
+from typing import Iterator
+
 WORD_BYTES = 8
+
+#: Words per rendering block: the unit that is re-rendered when a run
+#: writes into it.
+BLOCK_WORDS = 256
+
+_LINE = "%s=%r\n"
+_ADDR = re.compile(rb"^(\d+)=", re.M)
+
+
+def _render(words: dict, addrs: list[int]) -> bytes:
+    """``"{addr}={value!r}\\n"`` lines of *addrs* (sorted) in one pass."""
+    flat: list = [None] * (2 * len(addrs))
+    flat[::2] = addrs
+    flat[1::2] = map(words.__getitem__, addrs)
+    return ((_LINE * len(addrs)) % tuple(flat)).encode()
+
+
+class ImageRendering:
+    """Rendered lines of a pristine image, in compressed blocks.
+
+    ``blocks[k]`` holds the zlib-compressed lines of up to
+    :data:`BLOCK_WORDS` words in address order; ``starts[k]`` is the
+    address of its first word.  Block *k* owns every address from
+    ``starts[k]`` up to ``starts[k + 1]``, so a word written later into a
+    gap between pristine words still falls in exactly one block.
+    """
+
+    __slots__ = ("starts", "blocks", "nwords")
+
+    def __init__(self, words: dict) -> None:
+        addrs = sorted(words)
+        self.nwords = len(addrs)
+        self.starts = array("q", addrs[::BLOCK_WORDS])
+        self.blocks = [
+            zlib.compress(_render(words, addrs[i:i + BLOCK_WORDS]), 1)
+            for i in range(0, len(addrs), BLOCK_WORDS)
+        ]
 
 
 class MemoryImage:
@@ -28,6 +84,10 @@ class MemoryImage:
         self._words: dict[int, float] = {}
         self._bump = base
         self._regions: dict[str, tuple[int, int]] = {}
+        #: Pristine rendering and the addresses stored since it was taken;
+        #: both None until :meth:`snapshot`.
+        self.rendering: ImageRendering | None = None
+        self._written: set[int] | None = None
 
     # ------------------------------------------------------------------ #
     # allocation
@@ -72,6 +132,9 @@ class MemoryImage:
         if addr % WORD_BYTES:
             raise ValueError(f"misaligned store address {addr:#x}")
         self._words[addr] = value
+        written = self._written
+        if written is not None:
+            written.add(addr)
 
     def load_index(self, name: str, index: int) -> float:
         """Read element *index* of region *name*."""
@@ -87,19 +150,62 @@ class MemoryImage:
         if name not in self._regions:
             self.allocate(name, max(1, len(values)))
         base = self.base(name)
-        for i, v in enumerate(values):
-            self.store(base + i * WORD_BYTES, v)
+        addrs = range(base, base + len(values) * WORD_BYTES, WORD_BYTES)
+        self._words.update(zip(addrs, values))
+        if self._written is not None:
+            self._written.update(addrs)
         return base
 
     def touched_words(self) -> int:
         """Number of words actually materialized (for tests/diagnostics)."""
         return len(self._words)
 
-    def iter_words(self):
-        """Yield materialized ``(addr, value)`` pairs in address order.
+    # ------------------------------------------------------------------ #
+    # rendering
+    # ------------------------------------------------------------------ #
 
-        Deterministic iteration over the final memory state, used by the
-        architectural digest (:mod:`repro.core.archstate`).
+    def snapshot(self, rendering: ImageRendering | None = None) -> ImageRendering:
+        """Mark the current contents pristine and start recording writes.
+
+        *rendering* must render exactly the current contents (a rendering
+        of an identical earlier build); None renders them now.  Returns
+        the rendering in use.
         """
-        for addr in sorted(self._words):
-            yield addr, self._words[addr]
+        if rendering is None:
+            rendering = ImageRendering(self._words)
+        self.rendering = rendering
+        self._written = set()
+        return rendering
+
+    def rendered(self) -> Iterator[bytes]:
+        """All materialized words as ``"{addr}={value!r}\\n"`` lines.
+
+        Yields non-empty chunks whose concatenation is the lines of every
+        word in address order.  Without a snapshot that is one full pass
+        over the image.  After one, blocks without a written address are
+        the pristine rendering's bytes and every other block is rendered
+        again from the live words, so each written word is read from the
+        live image.
+        """
+        words = self._words
+        rendering = self.rendering
+        if rendering is None:
+            addrs = sorted(words)
+            for i in range(0, len(addrs), BLOCK_WORDS):
+                yield _render(words, addrs[i:i + BLOCK_WORDS])
+            return
+        starts = rendering.starts
+        dirty: dict[int, list[int]] = {}
+        for addr in self._written:
+            dirty.setdefault(bisect_right(starts, addr) - 1, []).append(addr)
+        head = dirty.pop(-1, None)
+        if head:
+            yield _render(words, sorted(head))
+        for k, block in enumerate(rendering.blocks):
+            lines = zlib.decompress(block)
+            written = dirty.get(k)
+            if written is not None:
+                addrs = set(map(int, _ADDR.findall(lines)))
+                addrs.update(written)
+                lines = _render(words, sorted(addrs))
+            yield lines

@@ -51,6 +51,7 @@ from repro.workloads.trace import DynInst
 
 if TYPE_CHECKING:
     from repro.workloads.base import Workload
+    from repro.workloads.mem import ImageRendering
 
 #: Environment override for the on-disk cache location (shared with the
 #: sweep engine's baseline cache; traces live in a ``traces/`` subdir).
@@ -94,9 +95,10 @@ _MEMO: dict[str, "CompiledTrace"] = {}
 #: lock-free (single dict read under the GIL).
 _COMPILE_LOCK = threading.Lock()
 
-#: (registry name, canonical-overrides digest) -> content key, so
-#: repeated builds of one sweep point hash the workload content once.
-_KEY_MEMO: dict[tuple[str, str], str] = {}
+#: (registry name, canonical-overrides digest) -> (content key, pristine
+#: memory rendering), so repeated builds of one sweep point render and
+#: hash the workload content once.
+_KEY_MEMO: dict[tuple[str, str], tuple[str, ImageRendering]] = {}
 
 #: Subsystem accounting, exposed for tests and the ``cache`` CLI.
 STATS = {
@@ -141,7 +143,10 @@ def workload_content_key(workload: "Workload") -> str:
     label map, entry point, initial registers, and the initial memory
     words.  Bitstream and core/PFM configuration are deliberately
     excluded: hints never change the correct-path stream, so one trace
-    serves baseline, PFM, and fault-injected runs alike.
+    serves baseline, PFM, and fault-injected runs alike.  The memory
+    words are hashed as the image's rendered lines without the final
+    newline; for an annotated workload those come from its pristine
+    rendering, so no word is formatted again.
     """
     h = hashlib.sha256()
     program = workload.program
@@ -161,11 +166,11 @@ def workload_content_key(workload: "Workload") -> str:
     for name in sorted(regs):
         h.update(f"{name}={regs[name]!r}\n".encode())
     h.update(b"=mem=\n")
-    h.update(
-        "\n".join(
-            f"{addr}={value!r}" for addr, value in workload.memory.iter_words()
-        ).encode()
-    )
+    last = b""
+    for chunk in workload.memory.rendered():
+        h.update(last)
+        last = chunk
+    h.update(last[:-1])
     return h.hexdigest()[:20]
 
 
@@ -173,25 +178,33 @@ def annotate(workload: "Workload", name: str, overrides: dict) -> None:
     """Stamp a registry-built workload with its trace-cache identity.
 
     Called by :func:`repro.registry.workloads.build_workload`.  The
-    content key is memoized per ``(name, canonical-overrides)`` so sweep
-    campaigns that rebuild the same point repeatedly hash the workload
-    content only once per process.
+    built memory image is snapshotted (:meth:`MemoryImage.snapshot`), so
+    the run's digest re-renders only the blocks it writes.  The pristine
+    rendering and the content key are memoized per ``(name,
+    canonical-overrides)``: sweep campaigns that rebuild the same point
+    render and hash the workload content once per process, and later
+    builds reuse the rendering.  Builders are seeded, so a rebuild has
+    the same image; one whose word count differs is rendered afresh.
     """
     workload.build_ref = (name, dict(overrides))
+    memory = workload.memory
     try:
         overrides_digest = hashlib.sha256(
             canonical_bytes({"name": name, "overrides": overrides})
         ).hexdigest()
     except Exception:
         # Unpicklable override: still cacheable, just never memoized.
+        memory.snapshot()
         workload.trace_key = workload_content_key(workload)
         return
     memo_key = (name, overrides_digest)
-    key = _KEY_MEMO.get(memo_key)
-    if key is None:
-        key = workload_content_key(workload)
-        _KEY_MEMO[memo_key] = key
-    workload.trace_key = key
+    memo = _KEY_MEMO.get(memo_key)
+    if memo is None or memo[1].nwords != memory.touched_words():
+        rendering = memory.snapshot()
+        memo = _KEY_MEMO[memo_key] = (workload_content_key(workload), rendering)
+    else:
+        memory.snapshot(memo[1])
+    workload.trace_key = memo[0]
 
 
 # --------------------------------------------------------------------- #

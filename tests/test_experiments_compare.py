@@ -9,6 +9,7 @@ from repro.experiments.compare import (
     rank_agreement,
     score,
     shape_report,
+    spearman,
 )
 from repro.experiments.report import ExperimentResult
 
@@ -39,6 +40,25 @@ def test_inverted_ordering_gives_rho_minus_one():
 def test_too_few_points_returns_none():
     result = make_result([("a", 1.0), ("b", 2.0)], {"a": 1.0, "b": 2.0})
     assert rank_agreement(result) is None
+
+
+@pytest.mark.parametrize(
+    "xs, ys, rho",
+    [
+        # Reference values from scipy.stats.spearmanr.
+        ([0.5, 1.7, 0.9, 3.2, 2.4, 1.1], [1.0, 2.5, 2.0, 2.9, 3.5, 0.4],
+         0.7714285714285715),
+        # Ties in both series take average ranks.
+        ([1.0, 2.0, 2.0, 4.0, 5.0], [3.0, 1.0, 4.0, 1.0, 5.0],
+         0.2894736842105264),
+    ],
+)
+def test_spearman_matches_scipy_reference(xs, ys, rho):
+    assert spearman(xs, ys) == pytest.approx(rho, abs=1e-12)
+
+
+def test_spearman_of_constant_series_is_nan():
+    assert math.isnan(spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
 
 
 def test_constant_scaling_gives_zero_spread():
